@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint cover bench select-bench wal-bench repair-bench membership-bench core-bench proxy-bench zone-bench reproduce reproduce-full examples clean
+.PHONY: all build test race lint cover loc bench select-bench wal-bench repair-bench membership-bench core-bench proxy-bench zone-bench reproduce reproduce-full examples clean
 
 all: build test
 
@@ -35,6 +35,13 @@ cover:
 	total=$$($(GO) tool cover -func=coverage.out | tail -n 1 | awk '{print $$3}' | tr -d '%'); \
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 >= f + 0) ? 0 : 1 }' || { \
 		echo "coverage $$total% fell below the floor $$floor%"; exit 1; }
+
+# Code size as ROADMAP.md tracks it: non-test Go lines (*.go, not
+# *_test.go) outside perfbench/ and build/output directories.
+loc:
+	@find . \( -path ./.git -o -path ./perfbench -o -path ./.bench_build -o -path ./artifacts \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l | \
+		awk '{ print $$1 " non-test Go lines" }'
 
 # One testing.B benchmark per paper table/figure, plus ablations.
 bench:

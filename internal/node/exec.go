@@ -4,30 +4,28 @@ import (
 	"context"
 
 	"repro/internal/store"
+	"repro/internal/topo"
 	"repro/internal/wire"
 )
 
 // executor is the server-side protocol of one placement strategy: each
 // Sec. 5 subsection of the paper becomes one implementation in its own
-// exec_*.go file. The Node shell dispatches to an executor after
-// resolving the key's stored config, so a client with a stale config
-// cannot fork a key's strategy.
+// exec_*.go file, except that Hash-y and its MultiProbe-y extension
+// share homesExec (they differ only in HomesFor). The Node shell
+// dispatches to an executor after resolving the key's stored config,
+// so a client with a stale config cannot fork a key's strategy.
 //
 // The first three methods run the initial server S's role and may call
-// peers; they are invoked with no key lock held. The last three run
-// inside a store.KeyState.Update callback (key locked) and must not
-// call peers — removeOne instead returns a follow-up to run after the
-// lock is released (the RandomServer replacement search).
+// peers; they are invoked with no key lock held. storeBatch, storeOne
+// and removeOne run inside a store.KeyState.Update callback (key
+// locked) and must not call peers — removeOne instead returns a
+// follow-up to run after the lock is released (the RandomServer
+// replacement search). plan and accept are the scheme's one
+// reconciliation rule, shared by anti-entropy repair (the unchanged
+// membership) and membership rebalance (the post-change one).
 type executor interface {
 	// place distributes a place(k, {v1..vh}) batch to the cluster.
 	place(ctx context.Context, n *Node, m wire.Place) wire.Message
-	// placeSpread is place under the zone-spread mode
-	// (wire.Config.ZoneSpread): entry homes come from the node's
-	// attached topo.Topology so no failure domain holds every copy.
-	// Schemes whose base placement is already zone-diverse (or cannot
-	// spread) delegate to place; see exec_spread.go for the per-scheme
-	// rationale. Must follow the same RNG discipline as place.
-	placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message
 	// add runs the initial server's add(v) protocol for the key.
 	add(ctx context.Context, n *Node, ks *store.KeyState, cfg wire.Config, m wire.Add) wire.Message
 	// del runs the initial server's delete(v) protocol for the key.
@@ -41,38 +39,36 @@ type executor interface {
 	// by the caller once the key lock is released.
 	removeOne(ctx context.Context, n *Node, st *store.State, m wire.RemoveOne) func()
 
-	// repairPlan maps this node's local copy of a key onto the
-	// candidate transfers an anti-entropy sweep should offer each peer:
-	// for schemes with deterministic homes (Full, Round-y, Hash-y) the
-	// peers that must hold each entry, for subset schemes (Fixed-x,
-	// RandomServer-x) every peer as a fill-to-x candidate, and nothing
-	// for KeyPartition (a single unreplicated home has no donor).
-	// It runs with no key lock held, on a view copied out of the store,
-	// and must not consume RNG — repair plugs holes with existing
-	// entries at existing positions, it never redraws.
-	repairPlan(self int, v repairView, numServers int) []repairCandidate
+	// plan maps this node's local copy of a key onto the transfers a
+	// reconciliation sweep should offer peers under membership m
+	// (targets are ranks in m), plus the local entries m no longer
+	// assigns here, which the sweep releases once a surviving copy is
+	// confirmed. Schemes with deterministic homes (Full, Round-y,
+	// Hash-y, MultiProbe-y, KeyPartition) offer each entry to its
+	// homes and release it where this node is not one; the subset
+	// schemes (Fixed-x, RandomServer-x) offer every peer a fill-to-x
+	// top-up and release only when this node is leaving. It runs with
+	// no key lock held, on a view copied out of the store, and must not
+	// consume RNG — reconciliation moves existing entries at existing
+	// positions, it never redraws, which is what keeps seeded lookups
+	// byte-identical across repair and churn.
+	plan(v repairView, m members) (push []repairCandidate, release []string)
 
-	// repairAccept applies a RepairPush under the scheme's local
-	// acceptance rule (cap at x, legal Round/Hash home, partition
-	// ownership). It runs inside Update (key locked), must not call
-	// peers or consume RNG, and returns how many entries it stored.
-	repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int
+	// accept applies a push under the scheme's local acceptance rule
+	// (cap at x, legal Round/Hash home, partition ownership), evaluated
+	// as member m.self of m. It runs inside Update (key locked), must
+	// not call peers or consume RNG, and returns how many entries it
+	// stored.
+	accept(st *store.State, p wire.RepairPush, m members) int
+}
 
-	// rebalancePlan is repairPlan's membership-change analogue: given
-	// this node's post-change rank (selfRank, -1 when it is the leaver)
-	// and the transition mc, it returns the transfers to offer peers
-	// (targets in post-change rank space) plus the local entries that
-	// may be dropped once a surviving copy is confirmed. Same contract
-	// as repairPlan: no key lock held, no RNG — rebalancing moves
-	// existing entries at existing positions, it never redraws, which
-	// is what keeps seeded lookups byte-identical across churn.
-	rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string)
-
-	// rebalanceAccept applies a RebalancePush under the post-change
-	// membership the message self-describes (m.NewN, and selfRank is
-	// this node's rank once m.Leaving is gone). Runs inside Update,
-	// must not call peers or consume RNG; returns entries stored.
-	rebalanceAccept(n *Node, st *store.State, m wire.RebalancePush, selfRank int) int
+// members is the membership a reconciliation step is evaluated in:
+// this node's rank (-1 for a drain's leaver), the member count, and
+// the zone topology spread-mode homes resolve against.
+type members struct {
+	self int
+	n    int
+	tp   *topo.Topology
 }
 
 // execFor returns the executor for a scheme. Keys whose config is still
@@ -87,12 +83,10 @@ func execFor(s wire.Scheme) executor {
 		return rsExec{}
 	case wire.RoundRobin:
 		return roundExec{}
-	case wire.Hash:
-		return hashExec{}
+	case wire.Hash, wire.MultiProbe:
+		return homesExec{}
 	case wire.KeyPartition:
 		return partExec{}
-	case wire.MultiProbe:
-		return mpExec{}
 	default:
 		return fullExec{}
 	}

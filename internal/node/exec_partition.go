@@ -41,66 +41,28 @@ func (partExec) removeOne(_ context.Context, _ *Node, st *store.State, m wire.Re
 	return nil
 }
 
-// repairPlan: the baseline keeps one unreplicated copy on the key's
-// home server. If the home dies its entries are gone — there is no
-// donor — so repair has nothing to plan. (This is the decay the
+// plan: the whole set belongs on the key's single home under m, so a
+// node holding it anywhere else — a drain's leaver, a member whose home
+// moved with the member count's mod-n, or a member that missed that
+// transition while down — offers everything to the home and releases
+// its copy once the move is confirmed. The home itself plans nothing:
+// the baseline keeps one unreplicated copy, so if the home dies its
+// entries are gone and there is no donor. (This is the decay the
 // paper's conclusion argues against; the repair benchmark shows it.)
-func (partExec) repairPlan(int, repairView, int) []repairCandidate {
-	return nil
+func (partExec) plan(v repairView, m members) ([]repairCandidate, []string) {
+	home := PartitionServer(v.key, m.n)
+	return homesPlan(v.entries, m, false, func(string) ([]int, int, bool) {
+		return []int{home}, 0, true
+	})
 }
 
-// repairAccept: only the key's home server may store entries; pushes
-// to anyone else are dropped.
-func (partExec) repairAccept(n *Node, st *store.State, m wire.RepairPush, numServers int) int {
-	if numServers <= 0 || PartitionServer(st.Key, numServers) != n.id {
+// accept: only the key's home under m may store entries; pushes to
+// anyone else are dropped.
+func (partExec) accept(st *store.State, p wire.RepairPush, m members) int {
+	if m.n <= 0 || PartitionServer(st.Key, m.n) != m.self {
 		return 0
 	}
-	accepted := 0
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// rebalancePlan: the key's home moves with the member count's mod-n,
-// so when the post-change home is some other server the whole local
-// set is offered to it, and the local copy is dropped once the move is
-// confirmed. This generalizes the baseline's total re-partition cost,
-// which the membership benchmark contrasts with MultiProbe.
-func (partExec) rebalancePlan(selfRank int, v repairView, mc memberChange) ([]repairCandidate, []string) {
-	if len(v.entries) == 0 || mc.newN <= 0 {
-		return nil, nil
-	}
-	home := PartitionServer(v.key, mc.newN)
-	if home == selfRank {
-		return nil, nil
-	}
-	push := []repairCandidate{{target: home, entries: v.entries}}
-	return push, append([]string(nil), v.entries...)
-}
-
-// rebalanceAccept: only the post-change home may store entries.
-func (partExec) rebalanceAccept(_ *Node, st *store.State, m wire.RebalancePush, selfRank int) int {
-	if m.NewN <= 0 || PartitionServer(st.Key, m.NewN) != selfRank {
-		return 0
-	}
-	accepted := 0
-	for _, s := range m.Entries {
-		v := entry.Entry(s)
-		if !v.Valid() || st.Set.Contains(v) {
-			continue
-		}
-		if logAdd(st, v) {
-			accepted++
-		}
-	}
-	return accepted
+	return acceptMissing(st, p.Entries, -1, nil)
 }
 
 // PartitionServer returns the single server responsible for a key

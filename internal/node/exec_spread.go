@@ -1,8 +1,6 @@
 package node
 
 import (
-	"context"
-
 	"repro/internal/topo"
 	"repro/internal/wire"
 )
@@ -10,18 +8,43 @@ import (
 // Zone-spread placement (wire.Config.ZoneSpread). The per-entry-home
 // schemes — Hash-y and MultiProbe-y — are the ones where all y copies
 // of an entry can collapse into one failure domain, so they are the
-// ones that resolve homes through topo.Topology.SpreadAssign here.
+// ones that resolve homes through topo.Topology.SpreadAssign here:
+//
+//   - Hash-y's mod-n assignment is zone-blind, so it is the scheme the
+//     spread mode exists for.
+//   - MultiProbe-y's ring points are zone-blind too; spread trades the
+//     ring's minimal-movement property for failure-domain diversity
+//     (the trade the zone-bench measures).
+//
 // The other five keep their base placement under the flag, each for a
-// structural reason documented on its placeSpread below.
+// structural reason:
+//
+//   - FullReplication stores every entry on every server: already in
+//     every zone by construction.
+//   - Fixed-x broadcasts and lets each receiver keep a prefix of size
+//     x; every server holds copies, so every zone with a member does.
+//   - RandomServer-x likewise broadcasts (receivers sample x locally),
+//     and redirecting its RNG-driven sampling through the topology
+//     would break the seeded-stream discipline; its copies already
+//     land in every zone.
+//   - Round-y places windows of y consecutive server ids. Zone
+//     diversity comes from numbering instead: topo.Uniform assigns ids
+//     round-robin across racks, so any y <= numRacks consecutive ids
+//     already span y distinct racks without changing the protocol.
+//   - KeyPartition stores each key unreplicated on a single
+//     hash-chosen server; with one copy there is nothing to spread,
+//     and survival under a zone partition requires a replicating
+//     scheme.
 //
 // Consistency contract: an entry's homes must be computed identically
-// at placement, add/delete, repair (plan and accept), rebalance (plan
-// and accept), and by the plstest invariant checker. HomesFor is that
-// single point of truth; every one of those paths calls it. Spread is
-// active only when the topology covers exactly the current member
-// count — during a join/drain window where it does not, every path
-// falls back to the base assignment together, and the next epoch-gated
-// repair sweep re-homes entries once the topology catches up.
+// at placement, add/delete, reconciliation (plan and accept, for
+// repair and rebalance alike), and by the plstest invariant checker.
+// HomesFor is that single point of truth; every one of those paths
+// calls it. Spread is active only when the topology covers exactly the
+// current member count — during a join/drain window where it does not,
+// every path falls back to the base assignment together, and the next
+// epoch-gated repair sweep re-homes entries once the topology catches
+// up.
 
 // HomesFor returns the servers entry v lives on under cfg in a
 // cluster of n servers: the scheme's base assignment, or the
@@ -63,72 +86,4 @@ func isHome(v string, cfg wire.Config, n, id int, tp *topo.Topology) bool {
 		}
 	}
 	return false
-}
-
-// placePerEntryHomes is the shared Hash-y/MultiProbe-y placement loop:
-// an empty broadcast installs the config everywhere, then each entry
-// goes to its homes. Identical in shape and RNG use (none) to the base
-// place implementations; only the home function differs.
-func placePerEntryHomes(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	cfg := m.Config
-	numServers := n.numServers()
-	tp := n.Topology()
-	if err := n.broadcast(ctx, wire.StoreBatch{Key: m.Key, Config: cfg}); err != nil {
-		return wire.Ack{Err: err.Error()}
-	}
-	for _, v := range m.Entries {
-		for _, target := range HomesFor(v, cfg, numServers, tp) {
-			if err := n.callBestEffort(ctx, target, wire.StoreOne{Key: m.Key, Config: cfg, Entry: v}); err != nil {
-				return wire.Ack{Err: err.Error()}
-			}
-		}
-	}
-	return wire.Ack{}
-}
-
-// Hash-y: the mod-n hash assignment is zone-blind, so this is the
-// scheme the spread mode exists for.
-func (hashExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return placePerEntryHomes(ctx, n, m)
-}
-
-// MultiProbe-y: ring points are zone-blind too; spread trades the
-// ring's minimal-movement property for failure-domain diversity (the
-// trade the zone-bench measures).
-func (mpExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return placePerEntryHomes(ctx, n, m)
-}
-
-// FullReplication stores every entry on every server: already in every
-// zone by construction.
-func (fullExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return fullExec{}.place(ctx, n, m)
-}
-
-// Fixed-x broadcasts and lets each receiver keep a prefix of size x;
-// every server holds copies, so every zone with a member does.
-func (fixedExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return fixedExec{}.place(ctx, n, m)
-}
-
-// RandomServer-x likewise broadcasts (receivers sample x locally), and
-// redirecting its RNG-driven sampling through the topology would break
-// the seeded-stream discipline; its copies already land in every zone.
-func (rsExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return rsExec{}.place(ctx, n, m)
-}
-
-// Round-y places windows of y consecutive server ids. Zone diversity
-// comes from numbering instead: topo.Uniform assigns ids round-robin
-// across racks, so any y <= numRacks consecutive ids already span y
-// distinct racks without changing the protocol.
-func (roundExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return roundExec{}.place(ctx, n, m)
-}
-
-// KeyPartition stores each key unreplicated on a single hash-chosen
-// server; with one copy there is nothing to spread, and survival under
-// a zone partition requires a replicating scheme.
-func (partExec) placeSpread(ctx context.Context, n *Node, m wire.Place) wire.Message {
-	return partExec{}.place(ctx, n, m)
 }

@@ -410,6 +410,36 @@ func TestJoinDuringRepairSweep(t *testing.T) {
 	}
 }
 
+// A member that is down across a join misses its rebalance and comes
+// back holding copies placed for the old member count. One repair
+// sweep at the new size must finish the transition — push to the new
+// homes, release the stray copies — for every scheme. The victim is
+// the KeyPartition home, so that scheme's whole set sits on a server
+// that is no longer its home when it recovers.
+func TestRepairAfterMissedJoin(t *testing.T) {
+	ctx := context.Background()
+	for name, cfg := range membershipConfigs() {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, 5, 53)
+			entries := entry.Synthetic(30)
+			live := liveFrom(entries)
+			h.place(initialServer(cfg, "k", 5), cfg, entries)
+
+			victim := node.PartitionServer("k", 5)
+			h.cl.Fail(victim)
+			if _, err := h.cl.Join(ctx, stats.NewRNG(905)); err != nil {
+				t.Fatalf("Join: %v", err)
+			}
+			h.cl.Recover(victim)
+			sweepAll(h.cl)
+
+			v := plstest.Observe(h.cl, "k", cfg)
+			plstest.Assert(t, "post-repair structural", v.Check(live))
+			plstest.Assert(t, "post-repair coverage", v.CheckCoverage(live))
+		})
+	}
+}
+
 // Draining the only server that holds a KeyPartition key: the leaver
 // is the sole holder, so the entire set must land on the new partition
 // home before the slot disappears.

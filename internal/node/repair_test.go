@@ -79,10 +79,20 @@ func TestRepairRestoresInvariantsAfterReplace(t *testing.T) {
 			plstest.Assert(t, "post-sweep structural", v.Check(live))
 			plstest.Assert(t, "post-sweep coverage", v.CheckCoverage(live))
 
-			// Convergence: a forced re-sweep finds nothing left to move.
+			// Convergence: a forced re-sweep finds nothing left to move
+			// and releases nothing either — every node's set is unchanged.
+			before := make([][]string, n)
+			for i := range before {
+				before[i] = entryStrings(h.cl.Node(i).LocalSet("k"))
+			}
 			again := sweepAll(h.cl)
 			if again.Moved != 0 || again.UnderReplicated != 0 || again.Pushes != 0 {
 				t.Fatalf("second sweep not converged: %+v", again)
+			}
+			for i := range before {
+				if got := entryStrings(h.cl.Node(i).LocalSet("k")); !reflect.DeepEqual(got, before[i]) {
+					t.Errorf("second sweep changed server %d's set:\n got %v\nwant %v", i, got, before[i])
+				}
 			}
 		})
 	}
@@ -233,8 +243,9 @@ func TestRepairPushAcceptanceRules(t *testing.T) {
 	})
 }
 
-// The partition baseline has no donors: repair plans nothing, and a
-// replaced home stays empty — the decay the paper argues against.
+// The partition baseline has no donors: the home is the only holder,
+// so no other member has anything to offer it, and a replaced home
+// stays empty — the decay the paper argues against.
 func TestRepairCannotResurrectPartitionHome(t *testing.T) {
 	h := newHarness(t, 4, 18)
 	cfg := wire.Config{Scheme: wire.KeyPartition}

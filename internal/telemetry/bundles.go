@@ -488,10 +488,14 @@ type RepairMetrics struct {
 	// pays nothing for repair).
 	Sweeps        *Counter
 	SweepsSkipped *Counter
-	// KeysRepaired counts keys for which at least one entry moved;
-	// EntriesMoved counts entries accepted by receivers.
-	KeysRepaired *Counter
-	EntriesMoved *Counter
+	// KeysRepaired counts keys for which at least one entry moved or
+	// was released; EntriesMoved counts entries accepted by receivers;
+	// EntriesReleased counts local copies a sweep dropped because the
+	// placement no longer assigns them to this server and a surviving
+	// copy was confirmed.
+	KeysRepaired    *Counter
+	EntriesMoved    *Counter
+	EntriesReleased *Counter
 	// Queries and Pushes count repair wire messages sent.
 	Queries *Counter
 	Pushes  *Counter
@@ -508,6 +512,7 @@ func NewRepairMetrics(r *Registry) *RepairMetrics {
 		SweepsSkipped:   r.NewCounter("repair.sweeps_skipped"),
 		KeysRepaired:    r.NewCounter("repair.keys_repaired"),
 		EntriesMoved:    r.NewCounter("repair.entries_moved"),
+		EntriesReleased: r.NewCounter("repair.entries_released"),
 		Queries:         r.NewCounter("repair.queries"),
 		Pushes:          r.NewCounter("repair.pushes"),
 		UnderReplicated: r.NewGauge("repair.under_replicated"),
@@ -529,12 +534,13 @@ func (m *RepairMetrics) RecordSweep(skipped bool) {
 // RecordSweepResult folds one completed sweep's outcome into the
 // counters and sets the under-replication gauge to the deficit this
 // sweep observed.
-func (m *RepairMetrics) RecordSweepResult(keysRepaired, moved, queries, pushes, underReplicated int) {
+func (m *RepairMetrics) RecordSweepResult(keysRepaired, moved, released, queries, pushes, underReplicated int) {
 	if m == nil {
 		return
 	}
 	m.KeysRepaired.Add(int64(keysRepaired))
 	m.EntriesMoved.Add(int64(moved))
+	m.EntriesReleased.Add(int64(released))
 	m.Queries.Add(int64(queries))
 	m.Pushes.Add(int64(pushes))
 	m.UnderReplicated.Set(int64(underReplicated))

@@ -368,11 +368,11 @@ func (c *Chaos) call(ctx context.Context, origin, server int, msg wire.Message) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	c.mu.Lock() // Grow and Compact resize the per-server slices
 	if server < 0 || server >= len(c.faults) {
+		c.mu.Unlock()
 		return c.inner.Call(ctx, server, msg) // inner reports the range error
 	}
-
-	c.mu.Lock()
 	if c.cut[pairKey(origin, server)] {
 		c.mu.Unlock()
 		return nil, &injectedError{server: server, reason: "partition"}

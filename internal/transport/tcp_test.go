@@ -1,64 +1,16 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/wire"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	msgs := []wire.Message{
-		wire.Ping{},
-		wire.Lookup{Key: "k", T: 12},
-		wire.LookupReply{Entries: []string{"a", "b"}},
-	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame round trip: got %#v, want %#v", got, want)
-		}
-	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("ReadFrame on empty = %v, want EOF", err)
-	}
-}
-
-func TestReadFrameRejectsBadLength(t *testing.T) {
-	// Zero length.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
-		t.Fatal("zero-length frame accepted")
-	}
-	// Over the payload limit.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
-		t.Fatal("oversized frame accepted")
-	}
-	// Truncated payload.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, wire.Lookup{Key: "abcdef", T: 1}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
-}
 
 // lookupEcho is a Handler that returns the key back.
 type lookupEcho struct{}

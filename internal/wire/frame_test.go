@@ -8,26 +8,25 @@ import (
 	"testing"
 )
 
-// TestParseFrameBodyVersions pins the classification rule: a body
-// opening with a message kind is v1, the marker byte is v2, and
-// anything else is a version error, never a misparse.
+// TestParseFrameBodyVersions pins the parsing rule: a body opening
+// with the v2 marker yields its id and payload; anything else —
+// including a v1-shaped body that opens with a message kind — is a
+// version error, never a misparse.
 func TestParseFrameBodyVersions(t *testing.T) {
 	payload := Encode(Lookup{Key: "k", T: 3})
 
-	fb, err := ParseFrameBody(payload)
-	if err != nil || fb.Version != 1 || !bytes.Equal(fb.Payload, payload) {
-		t.Fatalf("v1 body: got %+v, %v", fb, err)
-	}
-
 	v2 := AppendFrameV2(nil, 42, Lookup{Key: "k", T: 3})
-	fb, err = ParseFrameBody(v2[4:]) // strip the length prefix
-	if err != nil || fb.Version != 2 || fb.ID != 42 || !bytes.Equal(fb.Payload, payload) {
+	fb, err := ParseFrameBody(v2[4:]) // strip the length prefix
+	if err != nil || fb.ID != 42 || !bytes.Equal(fb.Payload, payload) {
 		t.Fatalf("v2 body: got %+v, %v", fb, err)
 	}
 	if n := binary.BigEndian.Uint32(v2[:4]); int(n) != len(v2)-4 {
 		t.Fatalf("v2 length prefix %d, body %d", n, len(v2)-4)
 	}
 
+	if _, err := ParseFrameBody(payload); !errors.Is(err, ErrFrameVersion) {
+		t.Fatalf("v1-shaped body: err = %v, want ErrFrameVersion", err)
+	}
 	if _, err := ParseFrameBody([]byte{0xEE, 1, 2}); !errors.Is(err, ErrFrameVersion) {
 		t.Fatalf("unknown leading byte: err = %v, want ErrFrameVersion", err)
 	}
@@ -41,28 +40,14 @@ func TestParseFrameBodyVersions(t *testing.T) {
 	}
 }
 
-// TestAppendFrameV1MatchesLegacyLayout pins that the v1 append helper
-// produces the exact [4-byte len][Encode(msg)] layout the original
-// transport framed, so old and new peers agree byte for byte.
-func TestAppendFrameV1MatchesLegacyLayout(t *testing.T) {
-	msg := Add{Key: "k", Config: Config{Scheme: Fixed, X: 2}, Entry: "v"}
-	payload := Encode(msg)
-	frame := AppendFrameV1(nil, msg)
-	if int(binary.BigEndian.Uint32(frame[:4])) != len(payload) {
-		t.Fatalf("v1 length prefix %d, want %d", binary.BigEndian.Uint32(frame[:4]), len(payload))
-	}
-	if !bytes.Equal(frame[4:], payload) {
-		t.Fatal("v1 frame payload differs from Encode output")
-	}
-}
-
-// FuzzMuxFrame throws arbitrary frame bodies at the classifier: it
-// must never panic, and any body it accepts must — when its payload
-// also decodes — re-frame to an identical body through the matching
-// append helper (round-trip stability across the mux framing layer).
+// FuzzMuxFrame throws arbitrary frame bodies at the parser: it must
+// never panic, must reject every body that does not open with the v2
+// marker, and any body it accepts must — when its payload also
+// decodes — re-frame to an identical id and message through
+// AppendFrameV2 (round-trip stability across the mux framing layer).
 func FuzzMuxFrame(f *testing.F) {
 	for _, msg := range allMessages() {
-		f.Add(Encode(msg))                    // v1 bodies
+		f.Add(Encode(msg))                    // v1-shaped bodies: rejected
 		f.Add(AppendFrameV2(nil, 7, msg)[4:]) // v2 bodies
 		f.Add(AppendFrameV2(nil, ^uint64(0), msg)[4:])
 	}
@@ -82,27 +67,21 @@ func FuzzMuxFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if body[0] != FrameV2Marker {
+			t.Fatalf("accepted a body opening with %#x", body[0])
+		}
 		msg, err := Decode(fb.Payload)
 		if err != nil {
 			return
 		}
-		var reframed []byte
-		switch fb.Version {
-		case 1:
-			reframed = AppendFrameV1(nil, msg)
-		case 2:
-			reframed = AppendFrameV2(nil, fb.ID, msg)
-		default:
-			t.Fatalf("impossible frame version %d", fb.Version)
-		}
 		// Non-canonical varints may re-encode shorter, so compare the
-		// classified meaning, not the bytes.
-		fb2, err := ParseFrameBody(reframed[4:])
+		// parsed meaning, not the bytes.
+		fb2, err := ParseFrameBody(AppendFrameV2(nil, fb.ID, msg)[4:])
 		if err != nil {
 			t.Fatalf("re-framed body rejected: %v", err)
 		}
-		if fb2.Version != fb.Version || fb2.ID != fb.ID {
-			t.Fatalf("re-framed header changed: %+v vs %+v", fb2, fb)
+		if fb2.ID != fb.ID {
+			t.Fatalf("re-framed id changed: %d vs %d", fb2.ID, fb.ID)
 		}
 		msg2, err := Decode(fb2.Payload)
 		if err != nil {

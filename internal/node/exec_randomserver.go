@@ -109,10 +109,10 @@ func (rsExec) removeOne(ctx context.Context, n *Node, st *store.State, m wire.Re
 // same entries", Sec. 5.3). Failure to find one is not an error: the
 // set simply stays below x, like the cushion scheme.
 func (n *Node) findReplacement(ctx context.Context, key string, deleted entry.Entry, x int) {
-	numServers := n.numServers()
+	numServers, self := n.numServers(), n.ID()
 	order := n.rng.Perm(numServers)
 	for _, peer := range order {
-		if peer == n.id {
+		if peer == self {
 			continue
 		}
 		reply, err := n.callReply(ctx, peer, wire.Lookup{Key: key, T: x})

@@ -109,6 +109,15 @@ func (mc memberChange) unchanged() bool {
 	return mc.oldN == mc.newN && mc.leaving < 0
 }
 
+// pushN is the cluster size mc's pushes name: 0 on the unchanged
+// membership, which receivers evaluate in their own current view.
+func (mc memberChange) pushN() int {
+	if mc.unchanged() {
+		return 0
+	}
+	return mc.newN
+}
+
 // slotOf maps a post-change rank to the transport slot it occupies
 // while the transition is in flight (the leaver still attached).
 func (mc memberChange) slotOf(rank int) int {
@@ -156,24 +165,6 @@ func validateMembershipUpdate(m wire.MembershipUpdate) error {
 	return nil
 }
 
-// RebalanceStats summarizes one member's rebalance sweep.
-type RebalanceStats struct {
-	// Epoch is the membership epoch the sweep committed.
-	Epoch uint64
-	// Keys is the number of keys examined; MovedKeys counts keys for
-	// which at least one entry moved or was dropped.
-	Keys      int
-	MovedKeys int
-	// Queries and Pushes count rebalance messages sent.
-	Queries int
-	Pushes  int
-	// Moved counts entries accepted by receivers; Dropped counts local
-	// copies released — always after a surviving copy was confirmed
-	// (seen on a target, or accepted by one).
-	Moved   int
-	Dropped int
-}
-
 // handleMembershipUpdate commits a transition on this member: adopt
 // the epoch (at-or-below the current one is a replayed broadcast and
 // acks as a no-op), let the host adjust its transport view, then sweep
@@ -202,7 +193,9 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 	if hook != nil {
 		hook(m)
 	}
-	stats := n.Rebalance(ctx, m)
+	// This member's share of the transition: every key reconciled
+	// against the post-change membership.
+	stats := n.sweep(ctx, changeOf(m), nil)
 	n.lastRebalance.Store(&stats)
 	n.peersMu.RLock()
 	applied := n.appliedHook
@@ -216,67 +209,6 @@ func (n *Node) handleMembershipUpdate(ctx context.Context, m wire.MembershipUpda
 		raiseEpoch(&n.compactedEpoch, m.Epoch)
 	}
 	return wire.Ack{}
-}
-
-// Rebalance runs this member's share of a committed transition: every
-// key in sorted order (the same determinism contract as repair
-// sweeps), reconciled against the post-change membership.
-func (n *Node) Rebalance(ctx context.Context, m wire.MembershipUpdate) RebalanceStats {
-	stats := RebalanceStats{Epoch: m.Epoch}
-	mc := changeOf(m)
-	for _, it := range n.sortedKeys() {
-		stats.Keys++
-		c := n.reconcileKey(ctx, it.key, it.ks, mc, nil)
-		stats.Queries += c.queries
-		stats.Pushes += c.pushes
-		stats.Moved += c.moved
-		stats.Dropped += c.released
-		if c.changed() {
-			stats.MovedKeys++
-		}
-	}
-	return stats
-}
-
-// handleRebalancePush applies one transfer under the post-change view
-// the push self-describes — including the size a key it creates is
-// validated against. The epoch ordering is deliberately loose in the
-// forward direction: during a broadcast, members that already swept
-// push to members that have not yet seen their own update, so a future
-// epoch must be accepted; only pushes from an epoch this member has
-// already superseded are rejected.
-func (n *Node) handleRebalancePush(m wire.RebalancePush) wire.Message {
-	if m.NewN < 1 {
-		return wire.RepairPushReply{Err: "node: rebalance push with empty cluster"}
-	}
-	if cur := n.memberEpoch.Load(); m.Epoch < cur {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur)}
-	}
-	// A faster member is already moving data for this epoch: until
-	// this node has applied the same transition, its repair sweeps plan
-	// in a view the pusher no longer shares and must not release.
-	raiseEpoch(&n.seenEpoch, m.Epoch)
-	// Once the host has compacted this epoch's transition, our id is
-	// already a post-change rank: mapping it through rankOf again would
-	// mis-rank us (or mistake us for the departed leaver) when a slower
-	// member's same-epoch push arrives after our renumbering.
-	compacted := m.Epoch > 0 && m.Epoch == n.compactedEpoch.Load()
-	id := n.ID()
-	if !compacted && m.Leaving >= 0 && id == m.Leaving {
-		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
-	}
-	mc := memberChange{newN: m.NewN, leaving: m.Leaving}
-	selfRank := mc.rankOf(id)
-	if compacted {
-		selfRank = id
-	}
-	if selfRank < 0 || selfRank >= m.NewN {
-		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", selfRank, m.NewN)}
-	}
-	return n.applyPush(wire.RepairPush{
-		Key: m.Key, Config: m.Config, Entries: m.Entries,
-		Positions: m.Positions, HasPos: m.HasPos, HCount: m.HCount,
-	}, members{self: selfRank, n: m.NewN, tp: n.Topology()})
 }
 
 // handleJoin admits a new member on behalf of a remote joiner; the
@@ -346,11 +278,7 @@ func (n *Node) OnMembershipApplied(hook func(wire.MembershipUpdate)) {
 
 // SetID renumbers the node after the host compacts transport slots
 // (a drain removes the leaver's slot, shifting higher ids down).
-func (n *Node) SetID(id int) {
-	n.peersMu.Lock()
-	n.id = id
-	n.peersMu.Unlock()
-}
+func (n *Node) SetID(id int) { n.id.Store(int64(id)) }
 
 // MarkCompacted records that the host has applied the given epoch's
 // slot compaction to its transport view (and renumbered this node via
@@ -366,10 +294,10 @@ func (n *Node) MemberEpoch() uint64 { return n.memberEpoch.Load() }
 
 // LastRebalance returns the stats of the node's most recent rebalance
 // sweep, or false if it has never rebalanced.
-func (n *Node) LastRebalance() (RebalanceStats, bool) {
+func (n *Node) LastRebalance() (SweepStats, bool) {
 	p := n.lastRebalance.Load()
 	if p == nil {
-		return RebalanceStats{}, false
+		return SweepStats{}, false
 	}
 	return *p, true
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/plstest"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -528,6 +529,45 @@ func TestDrainRefusals(t *testing.T) {
 	single := cluster.New(1, stats.NewRNG(96))
 	if _, err := single.Drain(ctx, 0); err == nil {
 		t.Error("drain of the last member accepted")
+	}
+}
+
+// A drain renumbers every survivor above the leaver while it serves
+// traffic, as plsd does after each sweep. Instrumented lookups read the
+// node's id on every message, so under -race this fails unless id
+// reads synchronize with SetID.
+func TestRenumberWhileServing(t *testing.T) {
+	ctx := context.Background()
+	h := newHarness(t, 3, 98)
+	h.cl.EnableTelemetry(telemetry.NewRegistry())
+	h.place(0, wire.Config{Scheme: wire.FullReplication}, entry.Synthetic(8))
+	survivor := h.cl.Node(2)
+
+	stop := make(chan struct{})
+	served := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			survivor.Handle(ctx, wire.Lookup{Key: "k", T: 2})
+			if i == 0 {
+				close(served)
+			}
+		}
+	}()
+	<-served
+	if _, err := h.cl.Drain(ctx, 1); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	close(stop)
+	<-done
+	if got := survivor.ID(); got != 1 {
+		t.Fatalf("survivor id after drain = %d, want 1", got)
 	}
 }
 

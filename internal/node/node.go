@@ -39,7 +39,9 @@ import (
 // Node is one lookup server. Create it with New, then Attach the peer
 // caller before serving traffic.
 type Node struct {
-	id int
+	// id is the node's server id. A drain renumbers survivors (SetID)
+	// while they serve traffic, so it is read only through ID.
+	id atomic.Int64
 
 	// metrics, when set via Instrument, records per-op throughput.
 	// Atomic so instrumentation can be attached to a serving node.
@@ -58,14 +60,14 @@ type Node struct {
 	// memberEpoch is the last committed membership epoch; updates at or
 	// below it are replays and ack as no-ops (see membership.go).
 	memberEpoch   atomic.Uint64
-	lastRebalance atomic.Pointer[RebalanceStats]
+	lastRebalance atomic.Pointer[SweepStats]
 	// compactedEpoch is the last epoch whose view change this node has
 	// fully applied: for a drain, the host's slot compaction (the
 	// leaver removed, this node renumbered); for a join, this node's
 	// own sweep. At that point the node's id IS its post-change rank,
 	// and same-epoch rebalance pushes still in flight from slower
 	// members must not be mapped through rankOf again (see
-	// handleRebalancePush).
+	// handleRepairPush).
 	compactedEpoch atomic.Uint64
 	// seenEpoch is the highest epoch this node has committed or
 	// received a rebalance push for. While it is ahead of
@@ -96,11 +98,12 @@ var _ transport.Handler = (*Node)(nil)
 // New returns a node with the given id, seeded deterministically from
 // seed (each node should get a distinct seed; see stats.RNG.Split).
 func New(id int, rng *stats.RNG) *Node {
-	return &Node{
-		id:    id,
+	n := &Node{
 		rng:   lockedRNG{rng: rng},
 		store: store.New(),
 	}
+	n.id.Store(int64(id))
+	return n
 }
 
 // Attach wires the peer caller the node uses for broadcasts and
@@ -111,14 +114,9 @@ func (n *Node) Attach(peers transport.Caller) {
 	n.peers = peers
 }
 
-// ID returns the node's server id.
-// It synchronizes with SetID, so it is safe while the host renumbers
-// the node.
-func (n *Node) ID() int {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	return n.id
-}
+// ID returns the node's server id. It is safe while the host renumbers
+// the node (SetID).
+func (n *Node) ID() int { return int(n.id.Load()) }
 
 // SetTopology attaches (or, with nil, detaches) the cluster's shared
 // zone topology. Safe to call on a serving node; spread-mode homes are
@@ -143,21 +141,22 @@ func (n *Node) recordOp(msg wire.Message) {
 	if m == nil {
 		return
 	}
+	id := n.ID()
 	switch mm := msg.(type) {
 	case wire.Place:
-		m.Places.At(n.id).Inc()
+		m.Places.At(id).Inc()
 	case wire.Add:
-		m.Adds.At(n.id).Inc()
+		m.Adds.At(id).Inc()
 	case wire.Delete:
-		m.Deletes.At(n.id).Inc()
+		m.Deletes.At(id).Inc()
 	case wire.Lookup:
-		m.Lookups.At(n.id).Inc()
+		m.Lookups.At(id).Inc()
 	case wire.PlaceBatch:
-		m.Places.At(n.id).Add(int64(len(mm.Items)))
+		m.Places.At(id).Add(int64(len(mm.Items)))
 	case wire.AddBatch:
-		m.Adds.At(n.id).Add(int64(len(mm.Items)))
+		m.Adds.At(id).Add(int64(len(mm.Items)))
 	case wire.LookupBatch:
-		m.Lookups.At(n.id).Add(int64(len(mm.Items)))
+		m.Lookups.At(id).Add(int64(len(mm.Items)))
 	}
 }
 
@@ -207,12 +206,10 @@ func (n *Node) Handle(ctx context.Context, msg wire.Message) wire.Message {
 		return n.handleLeave(ctx, m)
 	case wire.MembershipUpdate:
 		return n.handleMembershipUpdate(ctx, m)
-	case wire.RebalancePush:
-		return n.handleRebalancePush(m)
 	case wire.Ping:
 		return wire.Ack{}
 	default:
-		return wire.Ack{Err: fmt.Sprintf("node %d: unexpected message kind %d", n.id, msg.Kind())}
+		return wire.Ack{Err: fmt.Sprintf("node %d: unexpected message kind %d", n.ID(), msg.Kind())}
 	}
 }
 
@@ -442,7 +439,7 @@ func (n *Node) callReply(ctx context.Context, server int, msg wire.Message) (wir
 	peers := n.peers
 	n.peersMu.RUnlock()
 	if peers == nil {
-		return nil, fmt.Errorf("node %d: no peer caller attached", n.id)
+		return nil, fmt.Errorf("node %d: no peer caller attached", n.ID())
 	}
 	return peers.Call(ctx, server, msg)
 }

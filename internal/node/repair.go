@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -70,22 +71,30 @@ type RepairOptions struct {
 	Metrics *telemetry.RepairMetrics
 }
 
-// RepairStats summarizes one sweep.
-type RepairStats struct {
-	// Skipped reports that the epoch gate short-circuited the sweep
-	// before any wire traffic.
+// SweepStats summarizes one reconciliation sweep: a repair sweep
+// (Repairer.SweepOnce) or a member's share of a join or drain
+// (Node.LastRebalance).
+type SweepStats struct {
+	// Epoch is the membership epoch a rebalance sweep committed; 0 for
+	// repair.
+	Epoch uint64
+	// Skipped reports that repair's epoch gate short-circuited the
+	// sweep before any wire traffic.
 	Skipped bool
-	// Keys is the number of keys examined.
-	Keys int
-	// RepairedKeys counts keys for which at least one entry moved.
-	RepairedKeys int
-	// Queries and Pushes count repair messages sent.
+	// Keys is the number of keys examined; ChangedKeys counts keys for
+	// which at least one entry moved or was released.
+	Keys        int
+	ChangedKeys int
+	// Queries and Pushes count reconciliation messages sent.
 	Queries int
 	Pushes  int
-	// Moved counts entries accepted by receivers.
-	Moved int
-	// UnderReplicated counts (entry, server) pairs the scheme required
-	// but that were missing before this sweep pushed them.
+	// Moved counts entries accepted by receivers; Released counts local
+	// copies dropped — always after a surviving copy was confirmed
+	// (seen on a target, or accepted by one).
+	Moved    int
+	Released int
+	// UnderReplicated counts (entry, target) pairs the placement
+	// required but that were missing before this sweep pushed them.
 	UnderReplicated int
 }
 
@@ -152,56 +161,43 @@ func (r *Repairer) Stop() {
 // sweeps are what make the churn soak tests reproducible). It returns
 // what happened; tests and the churn benchmark drive repair through it
 // directly.
-func (r *Repairer) SweepOnce(ctx context.Context) RepairStats {
+func (r *Repairer) SweepOnce(ctx context.Context) SweepStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var stats RepairStats
 	epoch := r.opt.Health.FailureEpoch()
 	if epoch == r.sweptEpoch {
-		stats.Skipped = true
 		r.opt.Metrics.RecordSweep(true)
-		return stats
+		return SweepStats{Skipped: true}
 	}
-	dead := r.opt.Health.PresumedDead()
-	mc := r.n.repairMembership()
-	released := 0
-	for _, it := range r.n.sortedKeys() {
-		stats.Keys++
-		c := r.n.reconcileKey(ctx, it.key, it.ks, mc, dead)
-		stats.Queries += c.queries
-		stats.Pushes += c.pushes
-		stats.Moved += c.moved
-		stats.UnderReplicated += c.underReplicated
-		released += c.released
-		if c.changed() {
-			stats.RepairedKeys++
-		}
-	}
+	stats := r.n.sweep(ctx, r.n.repairMembership(), r.opt.Health.PresumedDead())
 	// Converged at this epoch: until the health picture changes again,
 	// further sweeps are free.
 	r.sweptEpoch = epoch
 	r.opt.Metrics.RecordSweep(false)
-	r.opt.Metrics.RecordSweepResult(stats.RepairedKeys, stats.Moved, released, stats.Queries, stats.Pushes, stats.UnderReplicated)
+	r.opt.Metrics.RecordSweepResult(stats.ChangedKeys, stats.Moved, stats.Released, stats.Queries, stats.Pushes, stats.UnderReplicated)
 	return stats
 }
 
-// keyItem is one key of a sweep.
-type keyItem struct {
-	key string
-	ks  *store.KeyState
-}
-
-// sortedKeys lists the store's keys in sorted order: shard iteration
-// order is unspecified, and deterministic sweeps are what make the
-// churn soak tests reproducible.
-func (n *Node) sortedKeys() []keyItem {
+// sweep reconciles every key against mc, in sorted key order: shard
+// iteration order is unspecified, and deterministic sweeps are what
+// make the churn soak tests reproducible. dead marks transport slots
+// neither queried nor pushed to.
+func (n *Node) sweep(ctx context.Context, mc memberChange, dead []bool) SweepStats {
+	type keyItem struct {
+		key string
+		ks  *store.KeyState
+	}
 	var items []keyItem
 	n.store.Range(func(key string, ks *store.KeyState) bool {
 		items = append(items, keyItem{key, ks})
 		return true
 	})
 	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-	return items
+	stats := SweepStats{Epoch: mc.epoch}
+	for _, it := range items {
+		n.reconcileKey(ctx, it.key, it.ks, mc, dead, &stats)
+	}
+	return stats
 }
 
 // repairView is a copy of one key's local state, taken under the key
@@ -343,18 +339,6 @@ func acceptMissing(st *store.State, entries []string, limit int, keep func(strin
 	return accepted
 }
 
-// keyCounts is one key's share of a sweep's stats.
-type keyCounts struct {
-	queries, pushes int
-	// moved counts entries receivers accepted; underReplicated the
-	// entries pushed because a target was missing them; released the
-	// local copies dropped after a surviving copy was confirmed.
-	moved, underReplicated, released int
-}
-
-// changed reports that an entry moved or was released.
-func (c keyCounts) changed() bool { return c.moved > 0 || c.released > 0 }
-
 // reconcileKey brings one key's local copy in line with its scheme's
 // placement under the membership mc describes: plan per scheme, query
 // each live target for what it is missing, push only that, then
@@ -365,19 +349,21 @@ func (c keyCounts) changed() bool { return c.moved > 0 || c.released > 0 }
 // destroyed — a sole RandomServer-x copy on a leaver whose peers are
 // all at capacity is the concrete case.
 //
-// Repair passes the unchanged membership and its pushes travel as
-// RepairPush; it releases only if the node is still settled in the
-// view it planned in (settledAt, checked under the key lock so a
-// rebalance push landing on this key is ordered before or after the
-// check). A committed join or drain travels as RebalancePush,
-// which self-describes the transition its receiver must evaluate
-// acceptance in. Targets are post-change ranks, addressed at
-// mc.slotOf; dead marks transport slots neither queried nor pushed to.
-// For Round-y the sweep also re-mirrors the coordinator counters over
-// mc's coordinator ranks (adopt-if-advance on receipt), so a replaced,
-// shifted or newly joined coordinator relearns head/tail.
-func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState, mc memberChange, dead []bool) keyCounts {
-	var c keyCounts
+// Every push names mc (see wire.RepairPush): a repair push, on the
+// unchanged membership, names no transition and is evaluated in the
+// receiver's own view; a rebalance push self-describes the committed
+// join or drain its receiver must evaluate acceptance in. Repair
+// releases only if the node is still settled in the view it planned
+// in (settledAt, checked under the key lock so a rebalance push
+// landing on this key is ordered before or after the check). Targets
+// are post-change ranks, addressed at mc.slotOf; dead marks transport
+// slots neither queried nor pushed to. For Round-y the sweep also
+// re-mirrors the coordinator counters over mc's coordinator ranks
+// (adopt-if-advance on receipt), so a replaced, shifted or newly
+// joined coordinator relearns head/tail. The key's outcome is added to
+// stats.
+func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState, mc memberChange, dead []bool, stats *SweepStats) {
+	moved, released := 0, 0
 	view := viewKey(key, ks)
 	self := mc.rankOf(n.ID())
 	push, release := execFor(view.cfg.Scheme).plan(view, members{self: self, n: mc.newN, tp: n.Topology()})
@@ -397,7 +383,7 @@ func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState,
 		if !ok || qr.Err != "" || len(qr.Missing) != len(cand.entries) {
 			continue
 		}
-		c.queries++
+		stats.Queries++
 		// Subset schemes only top the receiver up to x; deterministic
 		// homes push every missing entry.
 		budget := -1
@@ -425,20 +411,12 @@ func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState,
 		if len(entries) == 0 {
 			continue
 		}
-		c.underReplicated += len(entries)
-		p := wire.RepairPush{
+		stats.UnderReplicated += len(entries)
+		preply, err := n.callReply(ctx, slot, wire.RepairPush{
 			Key: key, Config: view.cfg, Entries: entries,
 			Positions: positions, HasPos: cand.hasPos, HCount: view.hCount,
-		}
-		var msg wire.Message = p
-		if !mc.unchanged() {
-			msg = wire.RebalancePush{
-				Key: p.Key, Config: p.Config, Entries: p.Entries,
-				Positions: p.Positions, HasPos: p.HasPos, HCount: p.HCount,
-				Epoch: mc.epoch, NewN: mc.newN, Leaving: mc.leaving,
-			}
-		}
-		preply, err := n.callReply(ctx, slot, msg)
+			Epoch: mc.epoch, NewN: mc.pushN(), Leaving: mc.leaving,
+		})
 		if err != nil {
 			continue
 		}
@@ -446,8 +424,8 @@ func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState,
 		if !ok || pr.Err != "" {
 			continue
 		}
-		c.pushes++
-		c.moved += pr.Accepted
+		stats.Pushes++
+		moved += pr.Accepted
 		if pr.Accepted == len(entries) {
 			// Full acceptance: every pushed entry has a confirmed copy.
 			// (Partial acceptance doesn't say which ones landed, so none
@@ -459,7 +437,6 @@ func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState,
 	}
 
 	if len(release) > 0 && len(safe) > 0 {
-		released := 0
 		ks.Update(func(st *store.State) {
 			if mc.unchanged() && !n.settledAt(mc.mark) {
 				return
@@ -470,8 +447,8 @@ func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState,
 				}
 			}
 		})
-		if released > 0 && ks.WaitDurable() == nil {
-			c.released = released
+		if released > 0 && ks.WaitDurable() != nil {
+			released = 0
 		}
 	}
 
@@ -484,7 +461,12 @@ func (n *Node) reconcileKey(ctx context.Context, key string, ks *store.KeyState,
 			_, _ = n.callReply(ctx, mc.slotOf(r), wire.CounterSync{Key: key, Head: view.head, Tail: view.tail})
 		}
 	}
-	return c
+	stats.Keys++
+	stats.Moved += moved
+	stats.Released += released
+	if moved > 0 || released > 0 {
+		stats.ChangedKeys++
+	}
 }
 
 // handleRepairQuery answers phase one of a sweep: which of the listed
@@ -521,19 +503,60 @@ func (n *Node) handleRepairQuery(m wire.RepairQuery) wire.Message {
 // drain.
 const errLeaving = "node: draining out of the cluster"
 
-// handleRepairPush applies a repair transfer as this node in the
-// current membership. A draining node refuses it: an accepted copy
-// would depart with the leaver while the pusher released its own.
+// handleRepairPush applies one reconciliation transfer as this node in
+// the membership the push names, then hands it to applyPush.
+//
+// A repair push (NewN == 0) is evaluated in the current membership. A
+// draining node refuses it: an accepted copy would depart with the
+// leaver while the pusher released its own.
+//
+// A rebalance push is evaluated in the post-change view it
+// self-describes, including the size a key it creates is validated
+// against. The epoch ordering is deliberately loose in the forward
+// direction: during a broadcast, members that already swept push to
+// members that have not yet seen their own update, so a future epoch
+// must be accepted; only pushes from an epoch this member has already
+// superseded are rejected.
 func (n *Node) handleRepairPush(m wire.RepairPush) wire.Message {
-	if n.leaving.Load() {
-		return wire.RepairPushReply{Err: errLeaving}
+	id := n.ID()
+	if m.NewN == 0 {
+		if n.leaving.Load() {
+			return wire.RepairPushReply{Err: errLeaving}
+		}
+		return n.applyPush(m, members{self: id, n: n.numServers(), tp: n.Topology()})
 	}
-	return n.applyPush(m, members{self: n.ID(), n: n.numServers(), tp: n.Topology()})
+	if m.NewN < 0 {
+		return wire.RepairPushReply{Err: "node: rebalance push with negative cluster size"}
+	}
+	if cur := n.memberEpoch.Load(); m.Epoch < cur {
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: stale rebalance push (epoch %d < %d)", m.Epoch, cur)}
+	}
+	// A faster member is already moving data for this epoch: until
+	// this node has applied the same transition, its repair sweeps plan
+	// in a view the pusher no longer shares and must not release.
+	raiseEpoch(&n.seenEpoch, m.Epoch)
+	// Once the host has compacted this epoch's transition, our id is
+	// already a post-change rank: mapping it through rankOf again would
+	// mis-rank us (or mistake us for the departed leaver) when a slower
+	// member's same-epoch push arrives after our renumbering.
+	compacted := m.Epoch > 0 && m.Epoch == n.compactedEpoch.Load()
+	if !compacted && m.Leaving >= 0 && id == m.Leaving {
+		return wire.RepairPushReply{Err: "node: rebalance push addressed to the leaver"}
+	}
+	mc := memberChange{newN: m.NewN, leaving: m.Leaving}
+	selfRank := mc.rankOf(id)
+	if compacted {
+		selfRank = id
+	}
+	if selfRank < 0 || selfRank >= m.NewN {
+		return wire.RepairPushReply{Err: fmt.Sprintf("node: rebalance push outside membership (rank %d of %d)", selfRank, m.NewN)}
+	}
+	return n.applyPush(m, members{self: selfRank, n: m.NewN, tp: n.Topology()})
 }
 
-// applyPush is the receiving half of reconciliation, shared by repair
-// and rebalance pushes: each entry passes the key's scheme acceptance
-// rule, evaluated as member m.self of m, or is dropped. The key's
+// applyPush is the receiving half of reconciliation: each entry passes
+// the key's scheme acceptance rule, evaluated as member m.self of m, or
+// is dropped. The key's
 // stored config wins, as everywhere else; a push may only create key
 // state under a config that would have been accepted at Place time in
 // m, so a corrupt or hostile config cannot poison the store. Accepted

@@ -15,13 +15,13 @@ import (
 
 // sweepAll runs one repair sweep on every node, in id order (the order
 // the soak tests rely on for determinism), and folds the stats.
-func sweepAll(c *cluster.Cluster) node.RepairStats {
-	var total node.RepairStats
+func sweepAll(c *cluster.Cluster) node.SweepStats {
+	var total node.SweepStats
 	for i := 0; i < c.N(); i++ {
 		r := node.NewRepairer(c.Node(i), node.RepairOptions{Health: c.Health()})
 		st := r.SweepOnce(context.Background())
 		total.Keys += st.Keys
-		total.RepairedKeys += st.RepairedKeys
+		total.ChangedKeys += st.ChangedKeys
 		total.Queries += st.Queries
 		total.Pushes += st.Pushes
 		total.Moved += st.Moved

@@ -90,7 +90,7 @@ func (rig *transitionRig) call(server int, msg wire.Message) wire.Message {
 func (rig *transitionRig) sweepAfterPush(pusher, target int) *bool {
 	swept := new(bool)
 	rig.views[pusher].after = func(server int, msg wire.Message) {
-		if _, ok := msg.(wire.RebalancePush); !ok || server != target || *swept {
+		if p, ok := msg.(wire.RepairPush); !ok || p.NewN == 0 || server != target || *swept {
 			return
 		}
 		*swept = true

@@ -187,6 +187,9 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		e.uints(m.Positions)
 		e.bool(m.HasPos)
 		e.uvarint(uint64(m.HCount))
+		e.uvarint(m.Epoch)
+		e.uvarint(uint64(m.NewN))
+		e.uvarint(uint64(m.Leaving + 1))
 	case RepairPushReply:
 		e.uvarint(uint64(m.Accepted))
 		e.str(m.Err)
@@ -203,16 +206,6 @@ func AppendEncode(dst []byte, msg Message) []byte {
 		// the wire value stays a uvarint.
 		e.uvarint(uint64(m.Leaving + 1))
 		e.strs(m.Addrs)
-	case RebalancePush:
-		e.str(m.Key)
-		e.config(m.Config)
-		e.strs(m.Entries)
-		e.uints(m.Positions)
-		e.bool(m.HasPos)
-		e.uvarint(uint64(m.HCount))
-		e.uvarint(m.Epoch)
-		e.uvarint(uint64(m.NewN))
-		e.uvarint(uint64(m.Leaving + 1))
 	default:
 		panic(fmt.Sprintf("wire: Encode called with unregistered message type %T", msg))
 	}
@@ -608,6 +601,16 @@ func decodeOwned(data []byte) (Message, error) {
 		if err == nil {
 			m.HCount, err = d.intval()
 		}
+		if err == nil {
+			m.Epoch, err = d.uvarint()
+		}
+		if err == nil {
+			m.NewN, err = d.intval()
+		}
+		if err == nil {
+			m.Leaving, err = d.intval()
+			m.Leaving--
+		}
 		msg = m
 	case KindRepairPushReply:
 		var m RepairPushReply
@@ -642,35 +645,6 @@ func decodeOwned(data []byte) (Message, error) {
 		}
 		if err == nil {
 			m.Addrs, err = d.strs()
-		}
-		msg = m
-	case KindRebalancePush:
-		var m RebalancePush
-		m.Key, err = d.str()
-		if err == nil {
-			m.Config, err = d.config()
-		}
-		if err == nil {
-			m.Entries, err = d.strs()
-		}
-		if err == nil {
-			m.Positions, err = d.uints()
-		}
-		if err == nil {
-			m.HasPos, err = d.boolval()
-		}
-		if err == nil {
-			m.HCount, err = d.intval()
-		}
-		if err == nil {
-			m.Epoch, err = d.uvarint()
-		}
-		if err == nil {
-			m.NewN, err = d.intval()
-		}
-		if err == nil {
-			m.Leaving, err = d.intval()
-			m.Leaving--
 		}
 		msg = m
 	default:

@@ -79,12 +79,14 @@ func allMessages() []Message {
 			Addrs: []string{"a:1", "b:2", "c:3", "d:4", "e:5", "f:6"},
 		},
 		MembershipUpdate{Epoch: 5, OldN: 6, NewN: 5, Leaving: 2},
-		RebalancePush{
+		RepairPush{
 			Key: "k", Config: cfg, Entries: []string{"v1", "v2"},
 			Positions: []uint64{0, 3}, HasPos: true, HCount: 9,
 			Epoch: 4, NewN: 6, Leaving: -1,
 		},
-		RebalancePush{Key: "k", Config: cfg, Entries: []string{"v1"}, Epoch: 5, NewN: 5, Leaving: 2},
+		RepairPush{Key: "k", Config: cfg, Entries: []string{"v1"}, Epoch: 5, NewN: 5, Leaving: 2},
+		// A repair sweep's push: NewN 0, no transition.
+		RepairPush{Key: "k", Config: cfg, Entries: []string{"v1"}, Leaving: -1},
 	}
 }
 

@@ -214,16 +214,15 @@ const (
 	KindJoin
 	KindLeave
 	KindMembershipUpdate
-	KindRebalancePush
 )
 
 // MaintenanceKind reports whether k belongs to the background
-// maintenance protocols — anti-entropy repair and dynamic membership
-// (join/leave/rebalance) — rather than the request path. The transport
-// uses it to split connection-reuse telemetry by traffic class.
+// maintenance protocols — reconciliation (repair and rebalance) and
+// dynamic membership (join/leave/update) — rather than the request
+// path. The transport uses it to split connection-reuse telemetry by
+// traffic class.
 func MaintenanceKind(k Kind) bool {
-	return (k >= KindRepairQuery && k <= KindRepairPushReply) ||
-		(k >= KindJoin && k <= KindRebalancePush)
+	return k >= KindRepairQuery && k <= KindMembershipUpdate
 }
 
 // Message is implemented by every protocol message.
@@ -535,13 +534,22 @@ type RepairQueryReply struct {
 	Err     string
 }
 
-// RepairPush is phase two of an anti-entropy sweep: the sweeper
-// re-replicates entries the peer reported missing. Config rides along
-// so a freshly replaced, empty server adopts the key's scheme. For
-// Round-y, HasPos is set and Positions carries each entry's original
-// position in parallel with Entries — repair plugs holes at existing
-// positions, it never redraws them. HCount propagates the
-// RandomServer-x reservoir denominator (adopt-if-greater on receipt).
+// RepairPush is phase two of a reconciliation sweep, repair and
+// rebalance alike: the sweeper transfers entries the peer reported
+// missing. Config rides along so a freshly replaced, empty server
+// adopts the key's scheme. For Round-y, HasPos is set and Positions
+// carries each entry's original position in parallel with Entries —
+// a sweep plugs holes at existing positions, it never redraws them.
+// HCount propagates the RandomServer-x reservoir denominator
+// (adopt-if-greater on receipt).
+//
+// Epoch, NewN and Leaving name the membership the receiver evaluates
+// acceptance in. NewN == 0 marks a repair push, which belongs to no
+// transition: the receiver uses its own current view. Otherwise the
+// push belongs to the committed transition at Epoch, and the receiver
+// validates homes and windows under the post-change size NewN and
+// derives its own post-change rank from Leaving (-1 for a join)
+// without global state. The reply is a RepairPushReply.
 type RepairPush struct {
 	Key       string
 	Config    Config
@@ -549,6 +557,9 @@ type RepairPush struct {
 	Positions []uint64
 	HasPos    bool
 	HCount    int
+	Epoch     uint64
+	NewN      int
+	Leaving   int
 }
 
 // RepairPushReply reports how many pushed entries the peer accepted
@@ -601,25 +612,6 @@ type MembershipUpdate struct {
 	Addrs   []string
 }
 
-// RebalancePush transfers entries whose placement changed with the
-// member list, phase two of a rebalance sweep (phase one reuses
-// RepairQuery so converged keys cost one message). It carries the same
-// payload as RepairPush plus the membership transition itself — NewN
-// and Leaving — so the receiver can validate homes and windows under
-// the post-change cluster size and derive its own post-change rank
-// without global state. The reply is a RepairPushReply.
-type RebalancePush struct {
-	Key       string
-	Config    Config
-	Entries   []string
-	Positions []uint64
-	HasPos    bool
-	HCount    int
-	Epoch     uint64
-	NewN      int
-	Leaving   int
-}
-
 // Kind implementations.
 
 func (Place) Kind() Kind            { return KindPlace }
@@ -660,4 +652,3 @@ func (RepairPushReply) Kind() Kind  { return KindRepairPushReply }
 func (Join) Kind() Kind             { return KindJoin }
 func (Leave) Kind() Kind            { return KindLeave }
 func (MembershipUpdate) Kind() Kind { return KindMembershipUpdate }
-func (RebalancePush) Kind() Kind    { return KindRebalancePush }

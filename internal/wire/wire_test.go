@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -125,5 +126,30 @@ func TestMessageKinds(t *testing.T) {
 			t.Errorf("%T reuses kind %d", m, k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestMaintenanceKind pins the traffic-class split the transport's
+// connection-reuse telemetry depends on: reconciliation and membership
+// kinds are maintenance, every other kind is not, and no kind lies
+// past KindMembershipUpdate.
+func TestMaintenanceKind(t *testing.T) {
+	maintenance := map[Kind]bool{
+		KindRepairQuery: true, KindRepairQueryReply: true,
+		KindRepairPush: true, KindRepairPushReply: true,
+		KindJoin: true, KindLeave: true, KindMembershipUpdate: true,
+	}
+	for k := KindPlace; k <= KindMembershipUpdate; k++ {
+		if got := MaintenanceKind(k); got != maintenance[k] {
+			t.Errorf("MaintenanceKind(%d) = %v, want %v", k, got, maintenance[k])
+		}
+	}
+	for _, k := range []Kind{0, KindMembershipUpdate + 1} {
+		if MaintenanceKind(k) {
+			t.Errorf("MaintenanceKind(%d) = true for a kind the codec does not know", k)
+		}
+		if _, err := Decode([]byte{byte(k)}); !errors.Is(err, ErrUnknown) {
+			t.Errorf("Decode(kind %d) = %v, want ErrUnknown", k, err)
+		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // WAL micro-benchmark (-wal-bench): measures acknowledged-mutation
 // throughput on one node under each durability level — volatile (no
 // WAL), fsync=never (write, no sync), fsync=batch (group commit), and
-// fsync=always (one fsync per mutation) — and writes the numbers as
-// machine-readable JSON (BENCH_wal.json). The interesting ratios are
+// fsync=always (durable before the key unlocks) — and writes the
+// numbers as machine-readable JSON (BENCH_wal.json). The interesting ratios are
 // batch and always against volatile: what durability costs, and how
 // much of that cost group commit buys back.
 
@@ -29,8 +29,8 @@ const (
 	// Workers is fixed, not GOMAXPROCS-derived: acked mutations are
 	// IO-bound (the worker parks in WaitDurable, not on a core), and
 	// group commit only shows its effect when several mutations are in
-	// flight per stripe. Several workers share each key, the hot-key
-	// shape group commit exists for.
+	// flight at once. Several workers share each key, the hot-key shape
+	// group commit exists for.
 	walBenchWorkers = 16
 	walBenchKeys    = 4
 	walBenchSeedSet = 8 // entries placed per key before measuring

@@ -76,7 +76,7 @@ func run() error {
 		// Durability. With -data-dir unset the node is volatile, exactly
 		// as before this layer existed.
 		dataDir      = flag.String("data-dir", "", "directory for the WAL and snapshots (empty = volatile, state dies with the process)")
-		fsyncPolicy  = flag.String("fsync", "batch", "WAL sync policy: always (fsync per mutation), batch (group commit), never (OS flush only)")
+		fsyncPolicy  = flag.String("fsync", "batch", "WAL sync policy: always (each mutation waits for its fsync), batch (group commit), never (OS flush only)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "interval between compacting snapshots (0 = only at startup and shutdown)")
 		drainWait    = flag.Duration("drain-timeout", 10*time.Second, "max time to let in-flight requests finish at shutdown")
 

@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Durability wires a node's store to on-disk state: a striped WAL for
+// Durability wires a node's store to on-disk state: one WAL for
 // every acknowledged mutation plus periodic compacting snapshots.
 // Open it with OpenDurability before the node serves traffic.
 //
@@ -82,12 +82,12 @@ func (n *Node) OpenDurability(dataDir string, policy store.SyncPolicy, snapInter
 
 	// 2. WAL tail. The store has no WAL attached yet, so replayed
 	// mutations are not re-logged.
-	wal, err := store.OpenWAL(dataDir, store.Stripes(), policy, metrics)
+	wal, err := store.OpenWAL(dataDir, policy, metrics)
 	if err != nil {
 		return nil, err
 	}
 	d.wal = wal
-	d.stats.WAL, err = wal.Replay(func(stripe int, seq uint64, msg wire.Message) error {
+	d.stats.WAL, err = wal.Replay(func(seq uint64, msg wire.Message) error {
 		applied, err := n.applyWALRecord(seq, msg)
 		if err != nil {
 			return err

@@ -1,11 +1,13 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -235,6 +237,131 @@ func TestRecoveryGracefulCloseLeavesNoTail(t *testing.T) {
 	}
 }
 
+// TestRecoveryAfterCleanRestartThenCrash: after a graceful stop the
+// final snapshot has pruned every record, so the log holds none; the
+// restarted log must still number new records past the snapshot's
+// per-key cutoffs, or a crash before the next snapshot would make
+// replay skip them as already covered.
+func TestRecoveryAfterCleanRestartThenCrash(t *testing.T) {
+	dirs := nodeDirs(t, 2)
+	cfg := wire.Config{Scheme: wire.FullReplication}
+	dc := newDurCluster(t, 2, 5, dirs, store.SyncBatch)
+	dc.runWorkload("k", cfg)
+	for _, d := range dc.durs {
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc := newDurCluster(t, 2, 5, dirs, store.SyncBatch)
+	rc.mustAck(0, wire.Add{Key: "k", Config: cfg, Entry: "after-restart"})
+	want := captureState(rc.nodes[0])
+	// Crash: the acked record is durable, but no snapshot covers it.
+	for _, d := range rc.durs {
+		if err := d.WAL().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc := newDurCluster(t, 2, 5, dirs, store.SyncBatch)
+	if got := captureState(cc.nodes[0]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("acked mutation lost across clean restart + crash (stats %+v):\n got %v\nwant %v",
+			cc.durs[0].Stats(), got["k"].Entries, want["k"].Entries)
+	}
+}
+
+// TestRestartAfterMidLogCorruption: damage in a sealed segment drops
+// every later record, and the node still starts — now and on the next
+// start, neither of which replays a record from past the gap.
+func TestRestartAfterMidLogCorruption(t *testing.T) {
+	dirs := nodeDirs(t, 1)
+	cfg := wire.Config{Scheme: wire.FullReplication}
+	dc := newDurCluster(t, 1, 7, dirs, store.SyncBatch)
+	dc.mustAck(0, wire.Place{Key: "a", Config: cfg, Entries: []string{"a-first", "a-sealed"}})
+	dc.mustAck(0, wire.Place{Key: "b", Config: cfg, Entries: []string{"b-first"}})
+	if err := dc.durs[0].WAL().Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	dc.mustAck(0, wire.Add{Key: "a", Config: cfg, Entry: "past-gap"})
+	// Crash after the acks: the log is durable, no snapshot covers it.
+	if err := dc.durs[0].WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip a byte of a's sealed record.
+	segs, err := filepath.Glob(filepath.Join(dirs[0], "wal", "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := false
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.Index(data, []byte("a-sealed"))
+		if i < 0 || bytes.Contains(data, []byte("past-gap")) {
+			continue
+		}
+		data[i] ^= 0xFF
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged = true
+	}
+	if !damaged {
+		t.Fatal("no sealed segment holds a's record")
+	}
+
+	for restart := 0; restart < 2; restart++ {
+		rc := newDurCluster(t, 1, 7, dirs, store.SyncBatch)
+		if restart == 0 && rc.durs[0].Stats().WAL.TruncatedBytes == 0 {
+			t.Errorf("stats %+v, want the dropped bytes counted", rc.durs[0].Stats())
+		}
+		for _, e := range captureState(rc.nodes[0])["a"].Entries {
+			if e == "past-gap" || e == "a-sealed" {
+				t.Errorf("restart %d replayed %q from past the gap", restart, e)
+			}
+		}
+		rc.mustAck(0, wire.Add{Key: "a", Config: cfg, Entry: fmt.Sprintf("new%d", restart)})
+		if err := rc.durs[0].Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenDurabilityLegacySegments: a striped plswal01 segment holding
+// only its header is removed on open; one holding a record makes
+// OpenDurability fail with an error naming the file.
+func TestOpenDurabilityLegacySegments(t *testing.T) {
+	legacy := func(dir string, size int) string {
+		data := make([]byte, size)
+		copy(data, "plswal01")
+		path := filepath.Join(dir, "wal", "s05-00000000000000000003.wal")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	dir := t.TempDir()
+	empty := legacy(dir, 20)
+	d, err := New(0, stats.NewRNG(1)).OpenDurability(dir, store.SyncBatch, 0, nil)
+	if err != nil {
+		t.Fatalf("OpenDurability with a header-only legacy segment: %v", err)
+	}
+	d.Close()
+	if _, err := os.Stat(empty); !os.IsNotExist(err) {
+		t.Fatalf("header-only legacy segment still present: %v", err)
+	}
+
+	dir = t.TempDir()
+	full := legacy(dir, 60)
+	if _, err := New(0, stats.NewRNG(1)).OpenDurability(dir, store.SyncBatch, 0, nil); err == nil || !strings.Contains(err.Error(), full) {
+		t.Fatalf("OpenDurability with a legacy record = %v, want an error naming %s", err, full)
+	}
+}
+
 // TestRecoverySnapshotWithoutWAL: a data dir holding only a snapshot
 // (the WAL directory was lost) still recovers the snapshot state.
 func TestRecoverySnapshotWithoutWAL(t *testing.T) {
@@ -314,8 +441,8 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != store.Stripes() {
-			t.Errorf("node %d has %d segments after snapshots, want %d (active only)", i, len(segs), store.Stripes())
+		if len(segs) != 1 {
+			t.Errorf("node %d has %d segments after snapshots, want 1 (the active one)", i, len(segs))
 		}
 		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 		if err != nil {

@@ -358,7 +358,7 @@ func (p *Proxy) placeBatch(ctx context.Context, pb wire.PlaceBatch) wire.BatchAc
 		items[i] = core.PlaceItem{Key: it.Key, Entries: toEntries(it.Entries)}
 	}
 	errs := p.svc.PlaceBatch(ctx, items)
-	return p.finishBatch(pb.Items, errs)
+	return p.finishBatch(errs, func(i int) string { return pb.Items[i].Key })
 }
 
 // addBatch proxies an AddBatch envelope; see placeBatch.
@@ -373,28 +373,18 @@ func (p *Proxy) addBatch(ctx context.Context, ab wire.AddBatch) wire.BatchAck {
 		items[i] = core.AddItem{Key: it.Key, Entry: entry.Entry(it.Entry)}
 	}
 	errs := p.svc.AddBatch(ctx, items)
-	return p.finishBatch2(ab.Items, errs)
+	return p.finishBatch(errs, func(i int) string { return ab.Items[i].Key })
 }
 
-func (p *Proxy) finishBatch(items []wire.Place, errs []error) wire.BatchAck {
-	out := wire.BatchAck{Errs: make([]string, len(items))}
-	for i, it := range items {
-		p.InvalidateKey(it.Key)
+// finishBatch invalidates each item's key after the batch's acks and
+// folds the per-item errors into the reply; key(i) names item i.
+func (p *Proxy) finishBatch(errs []error, key func(i int) string) wire.BatchAck {
+	out := wire.BatchAck{Errs: make([]string, len(errs))}
+	for i, err := range errs {
+		p.InvalidateKey(key(i))
 		p.opt.Metrics.RecordUpdate()
-		if errs[i] != nil {
-			out.Errs[i] = errs[i].Error()
-		}
-	}
-	return out
-}
-
-func (p *Proxy) finishBatch2(items []wire.Add, errs []error) wire.BatchAck {
-	out := wire.BatchAck{Errs: make([]string, len(items))}
-	for i, it := range items {
-		p.InvalidateKey(it.Key)
-		p.opt.Metrics.RecordUpdate()
-		if errs[i] != nil {
-			out.Errs[i] = errs[i].Error()
+		if err != nil {
+			out.Errs[i] = err.Error()
 		}
 	}
 	return out

@@ -194,7 +194,7 @@ func fillErrs(errs []error, idxs []int, err error) {
 }
 
 // coordinatorCount clamps the configured Round-y coordinator count to
-// the cluster size, matching sendUpdate's routing.
+// the cluster size; single and batched updates both route through it.
 func coordinatorCount(cfg wire.Config, n int) int {
 	coords := cfg.Coordinators
 	if coords < 1 {

@@ -166,13 +166,7 @@ func (d *Driver) sendUpdate(ctx context.Context, c transport.Caller, msg wire.Me
 		return d.callAck(ctx, c, node.PartitionServer(key, c.NumServers()), msg)
 	}
 	if d.cfg.Scheme == wire.RoundRobin {
-		coords := d.cfg.Coordinators
-		if coords < 1 {
-			coords = 1
-		}
-		if coords > c.NumServers() {
-			coords = c.NumServers()
-		}
+		coords := coordinatorCount(d.cfg, c.NumServers())
 		var lastErr error
 		for server := 0; server < coords; server++ {
 			err := d.callAck(ctx, c, server, msg)

@@ -275,8 +275,8 @@ func NewNodeMetrics(r *Registry, n int) *NodeMetrics {
 // (no -data-dir) configuration pays nothing.
 type WALMetrics struct {
 	// FsyncLatency is the distribution of fsync(2) calls on WAL
-	// stripe files; under the batch policy one observation covers a
-	// whole group commit.
+	// segment files; under the batch and always policies one
+	// observation covers a whole group commit.
 	FsyncLatency *Histogram
 	// Bytes and Records count WAL payload bytes and records appended.
 	Bytes   *Counter
